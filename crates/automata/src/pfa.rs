@@ -391,8 +391,7 @@ impl Pfa {
 
     /// The retained reference implementation of `MakeChoice`: the linear
     /// cumulative scan the paper's Algorithm 2 describes. Kept as the
-    /// ground truth the alias table is property-tested against, and as
-    /// the baseline the perf harness measures speedups over.
+    /// ground truth the alias table is property-tested against.
     pub fn make_choice_reference<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -426,22 +425,6 @@ impl Pfa {
     /// restarts from `q0` (repeated task life cycles).
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, opts: GenerateOptions) -> Vec<Sym> {
         let mut pattern = Vec::with_capacity(opts.size);
-        self.generate_into(rng, opts, &mut pattern);
-        pattern
-    }
-
-    /// [`Pfa::generate`] into a caller-owned buffer: clears `pattern` and
-    /// fills it with one walk. Trial loops that generate thousands of
-    /// patterns reuse one buffer per worker instead of allocating a fresh
-    /// `Vec` per pattern — the zero-allocation hot path.
-    pub fn generate_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        opts: GenerateOptions,
-        pattern: &mut Vec<Sym>,
-    ) {
-        pattern.clear();
-        pattern.reserve(opts.size);
         let mut q = self.start;
         while pattern.len() < opts.size {
             match self.make_choice(rng, q) {
@@ -458,6 +441,7 @@ impl Pfa {
                 }
             }
         }
+        pattern
     }
 
     /// [`Pfa::generate`] through the retained reference sampler

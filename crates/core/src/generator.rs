@@ -91,19 +91,6 @@ impl PatternGenerator {
         TestPattern::new(self.pfa.generate(rng, opts))
     }
 
-    /// Generates one pattern into a caller-owned symbol buffer (clearing
-    /// it first) — the zero-allocation walk for loops that do not keep
-    /// the pattern, such as the campaign learning pass and the perf
-    /// harness.
-    pub fn generate_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        opts: GenerateOptions,
-        buf: &mut Vec<Sym>,
-    ) {
-        self.pfa.generate_into(rng, opts, buf);
-    }
-
     /// Generates the set `T` of `n` patterns (Algorithm 1, lines 1–3).
     pub fn generate_batch<R: Rng + ?Sized>(
         &self,

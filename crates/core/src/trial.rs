@@ -142,20 +142,17 @@ impl TrialEngine {
     pub fn new(config: AdaptiveTestConfig) -> Result<TrialEngine, AdaptiveTestError> {
         let regex = Regex::parse(&config.regex_source).map_err(AdaptiveTestError::Regex)?;
         let generator = PatternGenerator::new(regex, &config.pd).map_err(AdaptiveTestError::Pfa)?;
-        let fast_forward = std::env::var_os("PTEST_NO_FAST_FORWARD").is_none();
         Ok(TrialEngine {
             config,
             generator,
-            fast_forward,
+            fast_forward: true,
         })
     }
 
     /// Enables or disables idle-cycle fast-forward for trials run by this
     /// engine. Fast-forward is a pure latency optimisation — reports are
     /// byte-identical either way (the equivalence suite pins this) — so
-    /// the switch exists for validation and debugging only. It can also
-    /// be flipped off process-wide by setting the `PTEST_NO_FAST_FORWARD`
-    /// environment variable, read once per [`TrialEngine::new`].
+    /// the switch exists for validation and debugging only.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }

@@ -128,20 +128,6 @@ impl StressScenario {
             spec: StressSpec::healthy(1),
         }
     }
-
-    /// A lightened variant (fewer lifecycles, fewer tasks) for benches
-    /// and smoke tests where the full 16-task churn is overkill.
-    #[must_use]
-    pub fn light() -> StressScenario {
-        StressScenario {
-            spec: StressSpec {
-                tasks: 4,
-                lifecycles: 4,
-                heap_bytes: 8 * 1024,
-                ..StressSpec::paper(1)
-            },
-        }
-    }
 }
 
 impl Scenario for StressScenario {

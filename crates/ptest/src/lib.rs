@@ -276,4 +276,16 @@ mod tests {
         let parsed = crate::summary_from_json(&json).unwrap();
         assert_eq!(parsed, report.machine_summary());
     }
+
+    #[test]
+    fn decoders_reject_deeply_nested_input_without_aborting() {
+        // A corrupt archive or checkpoint must come back as `Err`, not
+        // overflow the stack; both bracket kinds nest 100k deep.
+        for json in ["[".repeat(100_000), "{\"k\":".repeat(100_000)] {
+            assert!(crate::summary_from_json(&json).is_err());
+            assert!(crate::campaign_report_from_json(&json).is_err());
+            assert!(crate::campaign_checkpoint_from_json(&json).is_err());
+            assert!(crate::minimized_repro_from_json(&json).is_err());
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //! guarded task fault on some irq seeds, never without injections. Exits
 //! non-zero if no trial detects the race, if the fixed variant is not
 //! clean over the same trial budget, or if the recorded quadruple fails
-//! to replay the detection byte-for-byte (the CI smoke criterion). The
+//! to replay the detection byte-for-byte (the CI smoke check). The
 //! campaign archive and the replayed report are written under `--out`
 //! for upload.
 

@@ -13,7 +13,7 @@
 //! guarded task fault on some memory seeds, never under sequential
 //! consistency. Exits non-zero if no trial detects it or if the recorded
 //! seed triple fails to replay the detection byte-for-byte (the CI smoke
-//! criterion).
+//! check).
 
 use ptest::faults::weakmem::{reordering_manifested, StoreVisibilityScenario};
 use ptest::{Campaign, CampaignConfig, LearningConfig, Scenario, TrialEngine, TrialScratch};

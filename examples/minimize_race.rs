@@ -20,7 +20,7 @@
 //!
 //! Each reproducer is written to `--out` as pretty JSON (the build
 //! artifact CI uploads) plus a human-readable `.txt` rendering of the
-//! root-cause window. Exits non-zero if any criterion fails.
+//! root-cause window. Exits non-zero if any check fails.
 
 use ptest::faults::races::{AtomicityRaceScenario, OrderViolationScenario};
 use ptest::faults::weakmem::StoreVisibilityScenario;

@@ -10,7 +10,7 @@
 //! order wedges the stages against each other and the wait-for-graph
 //! detector reports a deadlock cycle *spanning kernels* — a bug class
 //! the dual-core platform cannot express. Exits non-zero if no seed
-//! reveals it (the CI smoke criterion).
+//! reveals it (the CI smoke check).
 
 use ptest::faults::multicore::CrossCorePipelineScenario;
 use ptest::{AdaptiveTest, BugKind, Campaign, CampaignConfig};

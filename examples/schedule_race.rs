@@ -12,7 +12,7 @@
 //! initialized yet — manifests as a guarded task fault on some schedule
 //! seeds, never under lock-step. Exits non-zero if no trial detects it
 //! or if the recorded seed pair fails to replay the detection
-//! byte-for-byte (the CI smoke criterion).
+//! byte-for-byte (the CI smoke check).
 
 use ptest::faults::races::{race_manifested, OrderViolationScenario};
 use ptest::{

@@ -26,7 +26,7 @@ fn compute_scenario() -> impl Scenario {
     )
 }
 
-/// The PR's acceptance criterion: ≥ 32 trials over ≥ 2 feedback rounds
+/// The campaign acceptance bar: ≥ 32 trials over ≥ 2 feedback rounds
 /// on ≥ 2 worker threads, deterministically.
 #[test]
 fn campaign_runs_32_trials_over_2_rounds_on_4_workers() {

@@ -134,15 +134,3 @@ fn buggy_philosopher_reports_are_byte_identical_with_and_without_fast_forward() 
     // fire on exactly the same cycle either way.
     assert_fast_forward_equivalence(&PhilosophersScenario::buggy());
 }
-
-#[test]
-fn env_escape_hatch_disables_fast_forward_at_engine_construction() {
-    // Engines elsewhere in this binary set the flag explicitly, so the
-    // temporary process-global variable cannot perturb them.
-    std::env::set_var("PTEST_NO_FAST_FORWARD", "1");
-    let gated = TrialEngine::new(AdaptiveTestConfig::default()).unwrap();
-    std::env::remove_var("PTEST_NO_FAST_FORWARD");
-    let default = TrialEngine::new(AdaptiveTestConfig::default()).unwrap();
-    assert!(!gated.fast_forward_enabled());
-    assert!(default.fast_forward_enabled());
-}
