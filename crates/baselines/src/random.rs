@@ -168,15 +168,7 @@ impl RandomTester {
                 let budget_exhausted = commands_issued >= cfg.command_budget && !awaiting;
                 bugs.extend(detector.observe(&sys, None, budget_exhausted));
             }
-            let fatal = bugs.iter().any(|b| {
-                matches!(
-                    b.kind,
-                    BugKind::SlaveCrash { .. }
-                        | BugKind::CommandTimeout { .. }
-                        | BugKind::Deadlock { .. }
-                        | BugKind::Livelock { .. }
-                )
-            });
+            let fatal = bugs.iter().any(|b| b.kind.is_fatal());
             if fatal {
                 break;
             }

@@ -32,6 +32,11 @@ use crate::report::{CampaignReport, RoundReport};
 
 /// Schema identifier stamped into every serialized checkpoint.
 ///
+/// v4: rounds no longer store the per-axis `schedule_detection`,
+/// `memory_detection` and `preemption_detection` tables; they are
+/// derived from the trial outcomes ([`RoundReport::detection`]).
+/// Earlier checkpoints are rejected.
+///
 /// v3: trial outcomes carry their `irq_seed` and preemption label (the
 /// replay quadruple), rounds carry `preemption_detection` aggregates,
 /// and minimized reproducers record the interrupt-injection shrink.
@@ -41,7 +46,7 @@ use crate::report::{CampaignReport, RoundReport};
 /// v2: completed rounds carry their `minimized` reproducers
 /// ([`RoundReport::minimized`]), so resumed campaigns skip re-shrinking
 /// classes a checkpointed round already minimized.
-pub const CHECKPOINT_SCHEMA: &str = "ptest-campaign/checkpoint-v3";
+pub const CHECKPOINT_SCHEMA: &str = "ptest-campaign/checkpoint-v4";
 
 /// One `(state, symbol, count)` entry of a counts snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

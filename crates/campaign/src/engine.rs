@@ -41,8 +41,7 @@ use ptest_core::{
 use crate::learning;
 use crate::pool;
 use crate::report::{
-    CampaignReport, LearnedDistribution, MemoryDetection, MinimizedOutcome, PreemptionDetection,
-    RoundReport, ScheduleDetection, TrialOutcome,
+    CampaignReport, LearnedDistribution, MinimizedOutcome, RoundReport, TrialOutcome,
 };
 
 /// Knobs of the cross-trial feedback loop.
@@ -99,7 +98,7 @@ pub struct CampaignConfig {
     /// [`RandomPriorityScheduler`](ptest_master::RandomPriorityScheduler)
     /// with `budgets[t % budgets.len()]` priority-change points — so one
     /// campaign sweeps several schedule-search depths and
-    /// [`RoundReport::schedule_detection`] reports which budgets find
+    /// [`RoundReport::detection`] reports which budgets find
     /// bugs.
     pub schedule_budgets: Vec<usize>,
     /// Memory-model rotation. Empty (the default) runs every trial under
@@ -108,7 +107,7 @@ pub struct CampaignConfig {
     /// Non-empty, trial `t` of each round runs under
     /// `memory_models[t % memory_models.len()]` — so one campaign probes
     /// the same (pattern × schedule) space under several propagation
-    /// semantics and [`RoundReport::memory_detection`] reports which
+    /// semantics and [`RoundReport::detection`] reports which
     /// models surface bugs.
     pub memory_models: Vec<MemoryModelSpec>,
     /// Preemption rotation. Empty (the default) runs every trial under
@@ -118,7 +117,7 @@ pub struct CampaignConfig {
     /// `preemption_specs[t % preemption_specs.len()]` — so one campaign
     /// sweeps quantum/clock-skew/interrupt configurations (including the
     /// inert spec as a control lane) and
-    /// [`RoundReport::preemption_detection`] reports which specs surface
+    /// [`RoundReport::detection`] reports which specs surface
     /// bugs. Every trial's interrupt plan draws from its own derived
     /// `irq_seed`, recorded on the outcome for quadruple replay.
     pub preemption_specs: Vec<PreemptionSpec>,
@@ -222,42 +221,61 @@ pub use ptest_soc::seed::campaign_memory_seed as memory_seed;
 /// Re-exported from [`ptest_soc::seed`].
 pub use ptest_soc::seed::campaign_irq_seed as irq_seed;
 
-/// The schedule spec trial `t` runs under: the scenario's own spec, or
-/// the rotated PCT budget when [`CampaignConfig::schedule_budgets`] is
-/// non-empty.
-fn trial_schedule(cfg: &CampaignConfig, base: ScheduleSpec, trial: usize) -> ScheduleSpec {
-    if cfg.schedule_budgets.is_empty() {
-        return base;
+/// Everything one campaign trial runs at: its four derived seeds and the
+/// three axis specs the campaign's rotations assign it.
+struct TrialPoint {
+    seed: u64,
+    schedule_seed: u64,
+    memory_seed: u64,
+    irq_seed: u64,
+    schedule: ScheduleSpec,
+    memory: MemoryModelSpec,
+    preemption: PreemptionSpec,
+}
+
+/// Trial `trial`'s entry of a rotation: `base` when `list` is empty,
+/// else `list[trial % list.len()]`.
+fn rotate<T: Copy>(list: &[T], base: T, trial: usize) -> T {
+    if list.is_empty() {
+        base
+    } else {
+        list[trial % list.len()]
     }
-    let budget = cfg.schedule_budgets[trial % cfg.schedule_budgets.len()];
-    let rp = match base {
-        ScheduleSpec::RandomPriority(rp) => rp,
-        ScheduleSpec::LockStep => RandomPriorityConfig::default(),
+}
+
+/// The point trial `trial` of `round` runs at. Each axis runs the
+/// scenario's own spec unless its rotation is non-empty; a schedule
+/// budget becomes a PCT-style
+/// [`RandomPriority`](ScheduleSpec::RandomPriority) spec with that many
+/// priority-change points.
+fn trial_point(
+    cfg: &CampaignConfig,
+    base: &AdaptiveTestConfig,
+    round: usize,
+    trial: usize,
+) -> TrialPoint {
+    let schedule = if cfg.schedule_budgets.is_empty() {
+        base.schedule
+    } else {
+        let rp = match base.schedule {
+            ScheduleSpec::RandomPriority(rp) => rp,
+            ScheduleSpec::LockStep => RandomPriorityConfig::default(),
+        };
+        ScheduleSpec::RandomPriority(RandomPriorityConfig {
+            change_points: cfg.schedule_budgets[trial % cfg.schedule_budgets.len()],
+            ..rp
+        })
     };
-    ScheduleSpec::RandomPriority(RandomPriorityConfig {
-        change_points: budget,
-        ..rp
-    })
-}
-
-/// The memory model trial `t` runs under: the scenario's own spec, or
-/// the rotated model when [`CampaignConfig::memory_models`] is
-/// non-empty.
-fn trial_memory(cfg: &CampaignConfig, base: MemoryModelSpec, trial: usize) -> MemoryModelSpec {
-    if cfg.memory_models.is_empty() {
-        return base;
+    let m = cfg.master_seed;
+    TrialPoint {
+        seed: trial_seed(m, round, trial),
+        schedule_seed: schedule_seed(m, round, trial),
+        memory_seed: memory_seed(m, round, trial),
+        irq_seed: irq_seed(m, round, trial),
+        schedule,
+        memory: rotate(&cfg.memory_models, base.memory, trial),
+        preemption: rotate(&cfg.preemption_specs, base.preemption, trial),
     }
-    cfg.memory_models[trial % cfg.memory_models.len()]
-}
-
-/// The preemption spec trial `t` runs under: the scenario's own spec, or
-/// the rotated spec when [`CampaignConfig::preemption_specs`] is
-/// non-empty.
-fn trial_preemption(cfg: &CampaignConfig, base: PreemptionSpec, trial: usize) -> PreemptionSpec {
-    if cfg.preemption_specs.is_empty() {
-        return base;
-    }
-    cfg.preemption_specs[trial % cfg.preemption_specs.len()]
 }
 
 /// The campaign runner.
@@ -432,31 +450,27 @@ pub(crate) fn run_round_trials<'env>(
     pool: &TrialPool<'env>,
     cfg: &'env CampaignConfig,
     scenario: &'env dyn Scenario,
-    base: &AdaptiveTestConfig,
+    base: &'env AdaptiveTestConfig,
     engine: &Arc<TrialEngine>,
     round: usize,
     trials: Range<usize>,
 ) -> Result<RoundTrials, CampaignError> {
     let jobs = trials.len();
     let lo = trials.start;
-    let master_seed = cfg.master_seed;
-    let base_schedule = base.schedule;
-    let base_memory = base.memory;
     let learn = cfg.learning.enabled;
     let engine = Arc::clone(engine);
-    let base_preemption = base.preemption;
     let results = pool.run_batch(jobs, move |scratch, i| {
-        let trial = lo + i;
+        let p = trial_point(cfg, base, round, lo + i);
         let report = engine.run_scenario_trial_overridden(
             scenario,
-            trial_seed(master_seed, round, trial),
-            schedule_seed(master_seed, round, trial),
-            memory_seed(master_seed, round, trial),
+            p.seed,
+            p.schedule_seed,
+            p.memory_seed,
             ptest_core::TrialOverrides {
-                schedule: Some(trial_schedule(cfg, base_schedule, trial)),
-                memory: Some(trial_memory(cfg, base_memory, trial)),
-                preemption: Some(trial_preemption(cfg, base_preemption, trial)),
-                irq_seed: Some(irq_seed(master_seed, round, trial)),
+                schedule: Some(p.schedule),
+                memory: Some(p.memory),
+                preemption: Some(p.preemption),
+                irq_seed: Some(p.irq_seed),
                 ..ptest_core::TrialOverrides::default()
             },
             scratch,
@@ -466,7 +480,7 @@ pub(crate) fn run_round_trials<'env>(
             learning::observe_report(&mut counts, &report, engine.generator().dfa());
         }
         Ok(WorkerYield::Trial(Box::new(TrialYield {
-            outcome: outcome_of(master_seed, round, trial, &report),
+            outcome: outcome_of(lo + i, p.seed, &report),
             counts,
         })))
     });
@@ -504,7 +518,7 @@ pub(crate) fn minimize_round<'env>(
     pool: &TrialPool<'env>,
     cfg: &'env CampaignConfig,
     scenario: &'env dyn Scenario,
-    base: &AdaptiveTestConfig,
+    base: &'env AdaptiveTestConfig,
     engine: &Arc<TrialEngine>,
     round: usize,
     outcomes: &[TrialOutcome],
@@ -521,25 +535,22 @@ pub(crate) fn minimize_round<'env>(
     if jobs.is_empty() {
         return Ok(Vec::new());
     }
-    let master_seed = cfg.master_seed;
-    let base_schedule = base.schedule;
-    let base_memory = base.memory;
-    let base_preemption = base.preemption;
     let engine = Arc::clone(engine);
     let n_jobs = jobs.len();
     let results = pool.run_batch(n_jobs, move |scratch, i| {
         let (trial, class) = &jobs[i];
         let trial = *trial;
+        let p = trial_point(cfg, base, round, trial);
         let minimized = minimize_scenario_trial(
             &engine,
             scenario,
-            trial_seed(master_seed, round, trial),
-            schedule_seed(master_seed, round, trial),
-            memory_seed(master_seed, round, trial),
-            irq_seed(master_seed, round, trial),
-            trial_schedule(cfg, base_schedule, trial),
-            trial_memory(cfg, base_memory, trial),
-            trial_preemption(cfg, base_preemption, trial),
+            p.seed,
+            p.schedule_seed,
+            p.memory_seed,
+            p.irq_seed,
+            p.schedule,
+            p.memory,
+            p.preemption,
             Some(class),
             &MinimizeConfig::default(),
             scratch,
@@ -562,10 +573,10 @@ pub(crate) fn minimize_round<'env>(
 }
 
 /// Extracts a trial's serializable outcome from its report.
-fn outcome_of(master_seed: u64, round: usize, trial: usize, report: &TestReport) -> TrialOutcome {
+fn outcome_of(trial: usize, seed: u64, report: &TestReport) -> TrialOutcome {
     TrialOutcome {
         trial,
-        seed: trial_seed(master_seed, round, trial),
+        seed,
         schedule_seed: report.schedule_seed,
         schedule: report.config.schedule.label(),
         memory_seed: report.memory_seed,
@@ -635,9 +646,6 @@ pub(crate) fn assemble_round(
     let mut total_commands = 0u64;
     let mut total_cycles = 0u64;
     let mut first_bug_sum = 0u64;
-    let mut schedule_detection: Vec<ScheduleDetection> = Vec::new();
-    let mut memory_detection: Vec<MemoryDetection> = Vec::new();
-    let mut preemption_detection: Vec<PreemptionDetection> = Vec::new();
     for outcome in &trials {
         let found = outcome.summary.bugs.len();
         if found > 0 {
@@ -647,66 +655,6 @@ pub(crate) fn assemble_round(
         total_commands += outcome.summary.commands_issued;
         total_cycles += outcome.summary.cycles;
         first_bug_sum += outcome.commands_to_first_bug.unwrap_or(0);
-        let slot = match schedule_detection
-            .iter_mut()
-            .find(|d| d.schedule == outcome.schedule)
-        {
-            Some(slot) => slot,
-            None => {
-                schedule_detection.push(ScheduleDetection {
-                    schedule: outcome.schedule.clone(),
-                    trials: 0,
-                    trials_with_bugs: 0,
-                    bugs: 0,
-                });
-                schedule_detection.last_mut().expect("just pushed")
-            }
-        };
-        slot.trials += 1;
-        if found > 0 {
-            slot.trials_with_bugs += 1;
-        }
-        slot.bugs += found;
-        let slot = match memory_detection
-            .iter_mut()
-            .find(|d| d.memory == outcome.memory)
-        {
-            Some(slot) => slot,
-            None => {
-                memory_detection.push(MemoryDetection {
-                    memory: outcome.memory.clone(),
-                    trials: 0,
-                    trials_with_bugs: 0,
-                    bugs: 0,
-                });
-                memory_detection.last_mut().expect("just pushed")
-            }
-        };
-        slot.trials += 1;
-        if found > 0 {
-            slot.trials_with_bugs += 1;
-        }
-        slot.bugs += found;
-        let slot = match preemption_detection
-            .iter_mut()
-            .find(|d| d.preemption == outcome.preemption)
-        {
-            Some(slot) => slot,
-            None => {
-                preemption_detection.push(PreemptionDetection {
-                    preemption: outcome.preemption.clone(),
-                    trials: 0,
-                    trials_with_bugs: 0,
-                    bugs: 0,
-                });
-                preemption_detection.last_mut().expect("just pushed")
-            }
-        };
-        slot.trials += 1;
-        if found > 0 {
-            slot.trials_with_bugs += 1;
-        }
-        slot.bugs += found;
     }
     let mean_commands_to_first_bug = if trials_with_bugs > 0 {
         Some(first_bug_sum as f64 / trials_with_bugs as f64)
@@ -722,9 +670,6 @@ pub(crate) fn assemble_round(
         total_commands,
         total_cycles,
         mean_commands_to_first_bug,
-        schedule_detection,
-        memory_detection,
-        preemption_detection,
         traces_learned,
         learned,
         minimized: Vec::new(),
@@ -734,6 +679,7 @@ pub(crate) fn assemble_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Axis;
     use ptest_core::FnScenario;
     use ptest_pcore::{Op, Program};
 
@@ -820,13 +766,10 @@ mod tests {
         )
         .unwrap();
         let round = &report.rounds[0];
-        let labels: Vec<&str> = round
-            .memory_detection
-            .iter()
-            .map(|d| d.memory.as_str())
-            .collect();
+        let detection = round.detection(Axis::Memory);
+        let labels: Vec<&str> = detection.iter().map(|d| d.label.as_str()).collect();
         assert_eq!(labels, ["seq-cst", "store-buffer(d=24)"]);
-        assert!(round.memory_detection.iter().all(|d| d.trials == 3));
+        assert!(detection.iter().all(|d| d.trials == 3));
         for outcome in &round.trials {
             assert_eq!(
                 outcome.memory,
@@ -875,10 +818,10 @@ mod tests {
             &scenario,
         )
         .unwrap();
-        let round = &report.rounds[0];
-        assert_eq!(round.memory_detection.len(), 1);
-        assert_eq!(round.memory_detection[0].memory, "seq-cst");
-        assert_eq!(round.memory_detection[0].trials, 3);
+        let detection = report.rounds[0].detection(Axis::Memory);
+        assert_eq!(detection.len(), 1);
+        assert_eq!(detection[0].label, "seq-cst");
+        assert_eq!(detection[0].trials, 3);
     }
 
     #[test]
@@ -907,13 +850,10 @@ mod tests {
         )
         .unwrap();
         let round = &report.rounds[0];
-        let labels: Vec<&str> = round
-            .preemption_detection
-            .iter()
-            .map(|d| d.preemption.as_str())
-            .collect();
+        let detection = round.detection(Axis::Preemption);
+        let labels: Vec<&str> = detection.iter().map(|d| d.label.as_str()).collect();
         assert_eq!(labels, ["none", "quantum(q=8)+irq(n=2)"]);
-        assert!(round.preemption_detection.iter().all(|d| d.trials == 3));
+        assert!(detection.iter().all(|d| d.trials == 3));
         for outcome in &round.trials {
             assert_eq!(
                 outcome.preemption,
@@ -973,13 +913,10 @@ mod tests {
         )
         .unwrap();
         let round = &report.rounds[0];
-        let labels: Vec<&str> = round
-            .schedule_detection
-            .iter()
-            .map(|d| d.schedule.as_str())
-            .collect();
+        let detection = round.detection(Axis::Schedule);
+        let labels: Vec<&str> = detection.iter().map(|d| d.label.as_str()).collect();
         assert_eq!(labels, ["random-priority(d=0)", "random-priority(d=3)"]);
-        assert!(round.schedule_detection.iter().all(|d| d.trials == 3));
+        assert!(detection.iter().all(|d| d.trials == 3));
         for outcome in &round.trials {
             assert_eq!(
                 outcome.schedule,
@@ -1027,10 +964,10 @@ mod tests {
             &scenario,
         )
         .unwrap();
-        let round = &report.rounds[0];
-        assert_eq!(round.schedule_detection.len(), 1);
-        assert_eq!(round.schedule_detection[0].schedule, "lock-step");
-        assert_eq!(round.schedule_detection[0].trials, 3);
+        let detection = report.rounds[0].detection(Axis::Schedule);
+        assert_eq!(detection.len(), 1);
+        assert_eq!(detection[0].label, "lock-step");
+        assert_eq!(detection[0].trials, 3);
     }
 
     #[test]

@@ -117,51 +117,41 @@ pub struct MinimizedOutcome {
     pub repro: MinimizedRepro,
 }
 
-/// Detection statistics of one schedule (identified by its stable
-/// label) within a round — the signal the adaptive loop can use to bias
-/// future rounds toward bug-finding schedule budgets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ScheduleDetection {
-    /// The schedule label (see
-    /// [`ScheduleSpec::label`](ptest_master::ScheduleSpec::label)).
-    pub schedule: String,
-    /// Trials run under this schedule this round.
-    pub trials: usize,
-    /// Of those, trials that detected at least one bug.
-    pub trials_with_bugs: usize,
-    /// Total bugs across those trials.
-    pub bugs: usize,
+/// An exploration axis a campaign can rotate — what
+/// [`RoundReport::detection`] groups a round's trials by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// The schedule ([`TrialOutcome::schedule`]).
+    Schedule,
+    /// The memory model ([`TrialOutcome::memory`]).
+    Memory,
+    /// The preemption spec ([`TrialOutcome::preemption`]).
+    Preemption,
 }
 
-/// Detection statistics of one memory model (identified by its stable
-/// label) within a round — which propagation semantics surfaced bugs,
-/// the memory-axis counterpart of [`ScheduleDetection`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct MemoryDetection {
-    /// The memory-model label (see
-    /// [`MemoryModelSpec::label`](ptest_master::MemoryModelSpec::label)).
-    pub memory: String,
-    /// Trials run under this memory model this round.
-    pub trials: usize,
-    /// Of those, trials that detected at least one bug.
-    pub trials_with_bugs: usize,
-    /// Total bugs across those trials.
-    pub bugs: usize,
+impl Axis {
+    /// The label of the spec `outcome` ran under on this axis.
+    fn label(self, outcome: &TrialOutcome) -> &str {
+        match self {
+            Axis::Schedule => &outcome.schedule,
+            Axis::Memory => &outcome.memory,
+            Axis::Preemption => &outcome.preemption,
+        }
+    }
 }
 
-/// Detection statistics of one preemption spec (identified by its
-/// stable label) within a round — which quantum/clock-skew/interrupt
-/// configuration surfaced bugs, the preemption-axis counterpart of
-/// [`ScheduleDetection`].
+/// Detection statistics of one spec of an [`Axis`] within a round,
+/// identified by its stable label (see
+/// [`ScheduleSpec::label`](ptest_master::ScheduleSpec::label),
+/// [`MemoryModelSpec::label`](ptest_master::MemoryModelSpec::label) and
+/// [`PreemptionSpec::label`](ptest_master::PreemptionSpec::label)) —
+/// which schedule budgets, memory models or preemption specs surfaced
+/// bugs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct PreemptionDetection {
-    /// The preemption label (see
-    /// [`PreemptionSpec::label`](ptest_master::PreemptionSpec::label)).
-    pub preemption: String,
-    /// Trials run under this preemption spec this round.
+pub struct AxisDetection {
+    /// The spec label.
+    pub label: String,
+    /// Trials run under this spec this round.
     pub trials: usize,
     /// Of those, trials that detected at least one bug.
     pub trials_with_bugs: usize,
@@ -190,15 +180,6 @@ pub struct RoundReport {
     pub total_cycles: u64,
     /// Mean of `commands_to_first_bug` over bug-finding trials.
     pub mean_commands_to_first_bug: Option<f64>,
-    /// Per-schedule detection aggregates, in first-seen trial order (one
-    /// entry per distinct schedule label run this round).
-    pub schedule_detection: Vec<ScheduleDetection>,
-    /// Per-memory-model detection aggregates, in first-seen trial order
-    /// (one entry per distinct memory-model label run this round).
-    pub memory_detection: Vec<MemoryDetection>,
-    /// Per-preemption-spec detection aggregates, in first-seen trial
-    /// order (one entry per distinct preemption label run this round).
-    pub preemption_detection: Vec<PreemptionDetection>,
     /// Execution traces this round contributed to the feedback counts
     /// (0 when learning is disabled).
     pub traces_learned: u64,
@@ -222,6 +203,34 @@ impl RoundReport {
             return 0.0;
         }
         self.trials_with_bugs as f64 / self.trials.len() as f64
+    }
+
+    /// Per-spec detection on `axis`: one entry per distinct label run
+    /// this round, in first-seen trial order, derived from
+    /// [`RoundReport::trials`].
+    #[must_use]
+    pub fn detection(&self, axis: Axis) -> Vec<AxisDetection> {
+        let mut out: Vec<AxisDetection> = Vec::new();
+        for outcome in &self.trials {
+            let label = axis.label(outcome);
+            let i = match out.iter().position(|d| d.label == label) {
+                Some(i) => i,
+                None => {
+                    out.push(AxisDetection {
+                        label: label.to_owned(),
+                        trials: 0,
+                        trials_with_bugs: 0,
+                        bugs: 0,
+                    });
+                    out.len() - 1
+                }
+            };
+            let found = outcome.summary.bugs.len();
+            out[i].trials += 1;
+            out[i].trials_with_bugs += usize::from(found > 0);
+            out[i].bugs += found;
+        }
+        out
     }
 }
 

@@ -324,7 +324,7 @@ impl AdaptiveTest {
         scenario: &dyn Scenario,
         seed: u64,
     ) -> Result<TestReport, AdaptiveTestError> {
-        TrialEngine::new(scenario.base_config())?.run_scenario_trial(scenario, seed)
+        TrialEngine::new(scenario.base_config())?.run_trial(seed, |sys| scenario.setup(sys))
     }
 
     /// Re-runs the scenario of a report (same configuration, same seed).

@@ -108,6 +108,24 @@ pub enum BugKind {
     },
 }
 
+impl BugKind {
+    /// Whether this bug ends the trial: a crash, a timeout, a deadlock
+    /// (within one kernel or across cores) or a livelock leaves nothing
+    /// further to observe. Starvation and task faults do not.
+    #[must_use]
+    #[inline]
+    pub fn is_fatal(&self) -> bool {
+        matches!(
+            self,
+            BugKind::SlaveCrash { .. }
+                | BugKind::CommandTimeout { .. }
+                | BugKind::Deadlock { .. }
+                | BugKind::CrossCoreDeadlock { .. }
+                | BugKind::Livelock { .. }
+        )
+    }
+}
+
 impl fmt::Display for BugKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -165,7 +183,7 @@ impl Bug {
     /// dual-core reports render byte-identically to the original tool.
     #[must_use]
     pub fn detail(&self) -> String {
-        if self.core == CoreId::Dsp || matches!(self.kind, BugKind::CrossCoreDeadlock { .. }) {
+        if self.core == CoreId::Slave(0) || matches!(self.kind, BugKind::CrossCoreDeadlock { .. }) {
             self.kind.to_string()
         } else {
             format!("[{}] {}", self.core, self.kind)
@@ -331,31 +349,16 @@ impl BugDetector {
         committer: Option<&Committer>,
         committer_done: bool,
     ) -> Vec<Bug> {
+        // One batched snapshot pass over every kernel, into buffers
+        // retained from the previous observation.
         let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-        let bugs = self.observe_with(sys, committer, committer_done, &mut snapshots);
+        sys.snapshots_into(&mut snapshots);
+        let bugs = self.check_rules(sys, committer, committer_done, &snapshots, None);
         self.snapshot_scratch = snapshots;
         bugs
     }
 
-    /// [`BugDetector::observe`] with a caller-owned snapshot buffer: one
-    /// batched snapshot pass over every kernel per observation step, into
-    /// buffers retained from the previous step — the per-kernel
-    /// `Kernel::snapshot()` allocations this replaces used to dominate
-    /// the trial hot loop. The trial engine passes its per-worker
-    /// [`TrialScratch`](crate::TrialScratch) buffer here so the working
-    /// set survives across trials, not just across steps.
-    pub fn observe_with(
-        &mut self,
-        sys: &MultiCoreSystem,
-        committer: Option<&Committer>,
-        committer_done: bool,
-        snapshots: &mut Vec<KernelSnapshot>,
-    ) -> Vec<Bug> {
-        sys.snapshots_into(snapshots);
-        self.check_rules(sys, committer, committer_done, snapshots, None)
-    }
-
-    /// [`BugDetector::observe_with`] through an epoch-keyed
+    /// [`BugDetector::observe`] through an epoch-keyed
     /// [`SnapshotCache`]: kernels whose change epoch is unchanged since
     /// the previous observation skip re-serialization (only their scalar
     /// counters are refreshed), and the state-change rules (crash, task
@@ -906,7 +909,7 @@ mod tests {
             assert_eq!(crashes.len(), 1);
             assert!(crashes[0].snapshot.panic.is_some());
             assert!(!crashes[0].trace_tail.is_empty());
-            assert_eq!(crashes[0].core, CoreId::Dsp);
+            assert_eq!(crashes[0].core, CoreId::Slave(0));
         }
 
         /// Two slaves, two crossed hand-off rings, tokens placed so the

@@ -810,41 +810,6 @@ fn minimized_schedule_view(spec: &ScheduleSpec) -> Option<RandomPriorityConfig> 
     }
 }
 
-/// Convenience wrapper of [`minimize_scenario_trial`] at the engine's
-/// compiled schedule/memory specs — for reproducers recorded by plain
-/// (non-rotating) runs.
-///
-/// # Errors
-///
-/// As for [`minimize_scenario_trial`].
-pub fn minimize_trial(
-    engine: &TrialEngine,
-    scenario: &dyn Scenario,
-    seed: u64,
-    schedule_seed: u64,
-    memory_seed: u64,
-    cfg: &MinimizeConfig,
-    scratch: &mut TrialScratch,
-) -> Result<MinimizedRepro, MinimizeError> {
-    minimize_scenario_trial(
-        engine,
-        scenario,
-        seed,
-        schedule_seed,
-        memory_seed,
-        engine
-            .config()
-            .irq_seed
-            .unwrap_or_else(|| crate::trial::derived_irq_seed(seed)),
-        engine.config().schedule,
-        engine.config().memory,
-        engine.config().preemption,
-        None,
-        cfg,
-        scratch,
-    )
-}
-
 /// Replays a [`MinimizedRepro`] from its stored parts: parses the
 /// minimized patterns back through the engine's alphabet and re-runs the
 /// trial under the minimized schedule mask and stored memory model. The

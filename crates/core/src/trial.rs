@@ -25,7 +25,7 @@ use rand::SeedableRng;
 use crate::adaptive::{AdaptiveTestConfig, AdaptiveTestError, TestReport};
 use crate::committer::{Committer, CommitterConfig, CommitterStatus};
 use crate::coverage;
-use crate::detector::{Bug, BugDetector, BugKind};
+use crate::detector::{Bug, BugDetector};
 use crate::generator::PatternGenerator;
 use crate::merger::PatternMerger;
 use crate::pattern::TestPattern;
@@ -46,9 +46,9 @@ pub struct TrialTrace {
     pub master: Vec<TraceEvent>,
 }
 
-/// Per-trial overrides of a compiled [`TrialEngine`]'s configuration —
-/// the one flexible entry point behind every `run_scenario_trial_*`
-/// convenience wrapper. Each field defaults to "no override".
+/// Per-trial overrides of a compiled [`TrialEngine`]'s configuration,
+/// passed to [`TrialEngine::run_scenario_trial_overridden`]. Each field
+/// defaults to "no override".
 #[derive(Default)]
 pub struct TrialOverrides<'a> {
     /// Replaces the compiled [`ScheduleSpec`](ptest_master::ScheduleSpec)
@@ -86,7 +86,8 @@ pub struct TrialEngine {
     fast_forward: bool,
 }
 
-/// Reusable working memory for [`TrialEngine::run_trial_in`]. A campaign
+/// Reusable working memory for
+/// [`TrialEngine::run_scenario_trial_overridden`]. A campaign
 /// worker keeps one of these for its whole lifetime, so the buffers the
 /// trial hot loop churns through — the epoch-keyed per-kernel snapshot
 /// cache with its task lists and wait edges — reach a steady state after
@@ -178,7 +179,9 @@ impl TrialEngine {
     /// Runs one seeded trial: generate, merge, fork the detector, commit
     /// (Algorithm 1 lines 1–10). `seed` overrides the configured seed and
     /// is echoed into the report, so every campaign trial is individually
-    /// reproducible via [`AdaptiveTest::reproduce`].
+    /// reproducible via [`AdaptiveTest::reproduce`]. The schedule and
+    /// memory seeds are the configuration's, or else derived from `seed`
+    /// ([`derived_schedule_seed`], [`derived_memory_seed`]).
     ///
     /// [`AdaptiveTest::reproduce`]: crate::AdaptiveTest::reproduce
     ///
@@ -191,76 +194,10 @@ impl TrialEngine {
         seed: u64,
         setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
     ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_in(seed, setup, &mut TrialScratch::new())
-    }
-
-    /// [`TrialEngine::run_trial`] with caller-owned working memory: the
-    /// campaign pool hands each worker one [`TrialScratch`] for its whole
-    /// lifetime, so back-to-back trials reuse the detector's snapshot
-    /// buffers instead of re-growing them per trial. Results are
-    /// identical to [`TrialEngine::run_trial`] — scratch reuse never
-    /// leaks state between trials.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_trial_in(
-        &self,
-        seed: u64,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
         let schedule_seed = self
             .config
             .schedule_seed
             .unwrap_or_else(|| derived_schedule_seed(seed));
-        self.run_trial_with_schedule(seed, schedule_seed, setup, scratch)
-    }
-
-    /// [`TrialEngine::run_trial_in`] at an explicit `(schedule seed,
-    /// memory seed)` pair — the fully scheduled entry point, where all
-    /// three exploration seeds are chosen by the caller. With the default
-    /// [`MemoryModelSpec::SeqCst`] the memory seed is recorded but has no
-    /// behavioural effect.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_trial_explored(
-        &self,
-        seed: u64,
-        schedule_seed: u64,
-        memory_seed: u64,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_inner(
-            seed,
-            schedule_seed,
-            memory_seed,
-            TrialOverrides::default(),
-            setup,
-            scratch,
-        )
-    }
-
-    /// [`TrialEngine::run_trial_in`] at an explicit schedule seed — the
-    /// campaign entry point, where pattern seeds and schedule seeds are
-    /// derived independently from the master seed so the campaign
-    /// explores (pattern × schedule) space rather than a diagonal of it.
-    /// With [`ScheduleSpec::LockStep`](ptest_master::ScheduleSpec) the
-    /// schedule seed is recorded but has no behavioural effect.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_trial_with_schedule(
-        &self,
-        seed: u64,
-        schedule_seed: u64,
-        setup: impl FnOnce(&mut DualCoreSystem) -> Vec<ProgramId>,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
         let memory_seed = self
             .config
             .memory_seed
@@ -271,7 +208,7 @@ impl TrialEngine {
             memory_seed,
             TrialOverrides::default(),
             setup,
-            scratch,
+            &mut TrialScratch::new(),
         )
     }
 
@@ -428,16 +365,7 @@ impl TrialEngine {
             }
             // Stop once a crash-class bug is in hand, or after the drain
             // period following completion.
-            let fatal = bugs.iter().any(|b| {
-                matches!(
-                    b.kind,
-                    BugKind::SlaveCrash { .. }
-                        | BugKind::CommandTimeout { .. }
-                        | BugKind::Deadlock { .. }
-                        | BugKind::CrossCoreDeadlock { .. }
-                        | BugKind::Livelock { .. }
-                )
-            });
+            let fatal = bugs.iter().any(|b| b.kind.is_fatal());
             if fatal {
                 break;
             }
@@ -493,152 +421,14 @@ impl TrialEngine {
         })
     }
 
-    /// Runs one seeded trial of a [`Scenario`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial(seed, |sys| scenario.setup(sys))
-    }
-
-    /// Runs one seeded trial of a [`Scenario`] with caller-owned working
-    /// memory (see [`TrialEngine::run_trial_in`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_in(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_in(seed, |sys| scenario.setup(sys), scratch)
-    }
-
-    /// Runs one trial of a [`Scenario`] at an explicit `(pattern seed,
-    /// schedule seed)` pair (see
-    /// [`TrialEngine::run_trial_with_schedule`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_scheduled(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_with_schedule(seed, schedule_seed, |sys| scenario.setup(sys), scratch)
-    }
-
-    /// [`TrialEngine::run_scenario_trial_scheduled`] under an explicit
-    /// [`ScheduleSpec`](ptest_master::ScheduleSpec), overriding the
-    /// compiled configuration's spec for this trial only — how a
-    /// campaign rotates schedule budgets across the trials of one round
-    /// while reusing the round's compiled PFA.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_scheduled_as(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        schedule: ptest_master::ScheduleSpec,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        let memory_seed = self
-            .config
-            .memory_seed
-            .unwrap_or_else(|| derived_memory_seed(seed));
-        self.run_trial_inner(
-            seed,
-            schedule_seed,
-            memory_seed,
-            TrialOverrides {
-                schedule: Some(schedule),
-                ..TrialOverrides::default()
-            },
-            |sys| scenario.setup(sys),
-            scratch,
-        )
-    }
-
-    /// Runs one trial of a [`Scenario`] at an explicit `(pattern seed,
-    /// schedule seed, memory seed)` triple (see
-    /// [`TrialEngine::run_trial_explored`]) — the replay entry point for
-    /// trials recorded by a memory-model-rotating campaign.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    pub fn run_scenario_trial_explored(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        memory_seed: u64,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_explored(
-            seed,
-            schedule_seed,
-            memory_seed,
-            |sys| scenario.setup(sys),
-            scratch,
-        )
-    }
-
-    /// [`TrialEngine::run_scenario_trial_explored`] under explicit
-    /// [`ScheduleSpec`](ptest_master::ScheduleSpec) and
-    /// [`MemoryModelSpec`] overrides, replacing the compiled
-    /// configuration's specs for this trial only — how a campaign rotates
-    /// schedule and memory-model budgets across the trials of one round
-    /// while reusing the round's compiled PFA.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrialEngine::run_trial`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_scenario_trial_explored_as(
-        &self,
-        scenario: &dyn Scenario,
-        seed: u64,
-        schedule_seed: u64,
-        memory_seed: u64,
-        schedule: ptest_master::ScheduleSpec,
-        memory: MemoryModelSpec,
-        scratch: &mut TrialScratch,
-    ) -> Result<TestReport, AdaptiveTestError> {
-        self.run_trial_inner(
-            seed,
-            schedule_seed,
-            memory_seed,
-            TrialOverrides {
-                schedule: Some(schedule),
-                memory: Some(memory),
-                ..TrialOverrides::default()
-            },
-            |sys| scenario.setup(sys),
-            scratch,
-        )
-    }
-
     /// The fully general scenario-trial entry point: runs one trial of a
     /// [`Scenario`] at an explicit `(pattern seed, schedule seed, memory
     /// seed)` triple under arbitrary [`TrialOverrides`] — explicit
-    /// schedule/memory specs, an explicit pattern set (the minimization
+    /// schedule/memory/preemption specs and irq seed (campaign rotation,
+    /// quadruple replay), an explicit pattern set (the minimization
     /// shrink loop's candidate trials), and optional full-trace capture
-    /// (the root-cause replay). Every other `run_scenario_trial_*` method
-    /// is a special case of this one.
+    /// (the root-cause replay). `scratch` is caller-owned working memory
+    /// that a campaign worker reuses across its trials.
     ///
     /// # Errors
     ///
@@ -675,6 +465,27 @@ mod tests {
             .register_program(Program::new(vec![Op::Compute(20), Op::Exit]).unwrap())]
     }
 
+    /// Runs `setup` on `engine` at an explicit `(pattern, schedule,
+    /// memory)` seed triple through the scenario entry point.
+    fn run_at(
+        engine: &TrialEngine,
+        setup: fn(&mut DualCoreSystem) -> Vec<ProgramId>,
+        (seed, schedule_seed, memory_seed): (u64, u64, u64),
+        scratch: &mut TrialScratch,
+    ) -> TestReport {
+        let scenario = crate::FnScenario::new("probe", engine.config().clone(), setup);
+        engine
+            .run_scenario_trial_overridden(
+                &scenario,
+                seed,
+                schedule_seed,
+                memory_seed,
+                TrialOverrides::default(),
+                scratch,
+            )
+            .unwrap()
+    }
+
     #[test]
     fn engine_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -709,12 +520,18 @@ mod tests {
         })
         .unwrap();
         let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_with_schedule(5, 111, quick_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_with_schedule(5, 222, quick_setup, &mut scratch)
-            .unwrap();
+        let a = run_at(
+            &engine,
+            quick_setup,
+            (5, 111, crate::derived_memory_seed(5)),
+            &mut scratch,
+        );
+        let b = run_at(
+            &engine,
+            quick_setup,
+            (5, 222, crate::derived_memory_seed(5)),
+            &mut scratch,
+        );
         assert_eq!(a.schedule_seed, 111);
         assert_eq!(a.config.schedule_seed, Some(111));
         assert_eq!(a.cycles, b.cycles, "lock-step ignores the schedule seed");
@@ -736,12 +553,18 @@ mod tests {
         })
         .unwrap();
         let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_with_schedule(9, 1234, quick_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_with_schedule(9, 1234, quick_setup, &mut scratch)
-            .unwrap();
+        let a = run_at(
+            &engine,
+            quick_setup,
+            (9, 1234, crate::derived_memory_seed(9)),
+            &mut scratch,
+        );
+        let b = run_at(
+            &engine,
+            quick_setup,
+            (9, 1234, crate::derived_memory_seed(9)),
+            &mut scratch,
+        );
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.commands_issued, b.commands_issued);
         assert_eq!(a.patterns, b.patterns);
@@ -762,12 +585,8 @@ mod tests {
         })
         .unwrap();
         let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_explored(5, 111, 333, quick_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_explored(5, 111, 444, quick_setup, &mut scratch)
-            .unwrap();
+        let a = run_at(&engine, quick_setup, (5, 111, 333), &mut scratch);
+        let b = run_at(&engine, quick_setup, (5, 111, 444), &mut scratch);
         assert_eq!(a.memory_seed, 333);
         assert_eq!(a.config.memory_seed, Some(333));
         assert_eq!(a.cycles, b.cycles, "seq-cst ignores the memory seed");
@@ -794,12 +613,8 @@ mod tests {
         })
         .unwrap();
         let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_explored(9, 1234, 77, quick_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_explored(9, 1234, 77, quick_setup, &mut scratch)
-            .unwrap();
+        let a = run_at(&engine, quick_setup, (9, 1234, 77), &mut scratch);
+        let b = run_at(&engine, quick_setup, (9, 1234, 77), &mut scratch);
         assert_eq!(a.memory_seed, 77);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.commands_issued, b.commands_issued);
@@ -882,12 +697,8 @@ mod tests {
         })
         .unwrap();
         let mut scratch = TrialScratch::new();
-        let a = engine
-            .run_trial_explored(9, 1234, 77, preemptive_setup, &mut scratch)
-            .unwrap();
-        let b = engine
-            .run_trial_explored(9, 1234, 77, preemptive_setup, &mut scratch)
-            .unwrap();
+        let a = run_at(&engine, preemptive_setup, (9, 1234, 77), &mut scratch);
+        let b = run_at(&engine, preemptive_setup, (9, 1234, 77), &mut scratch);
         assert_eq!(
             a.irq_seed, b.irq_seed,
             "irq seed derives from the trial seed"
@@ -952,12 +763,8 @@ mod tests {
         let mut slow = TrialEngine::new(cfg).unwrap();
         slow.set_fast_forward(false);
         let mut scratch = TrialScratch::new();
-        let a = fast
-            .run_trial_explored(9, 1234, 77, preemptive_setup, &mut scratch)
-            .unwrap();
-        let b = slow
-            .run_trial_explored(9, 1234, 77, preemptive_setup, &mut scratch)
-            .unwrap();
+        let a = run_at(&fast, preemptive_setup, (9, 1234, 77), &mut scratch);
+        let b = run_at(&slow, preemptive_setup, (9, 1234, 77), &mut scratch);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.commands_issued, b.commands_issued);
         assert_eq!(

@@ -398,7 +398,7 @@ pub fn race_manifested(report: &ptest_core::TestReport) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptest_core::{AdaptiveTest, Configured, TrialEngine, TrialScratch};
+    use ptest_core::{AdaptiveTest, Configured, TrialEngine, TrialOverrides, TrialScratch};
 
     /// Runs `scenario` under an explicit schedule spec at a seed pair.
     fn run_scheduled(
@@ -407,11 +407,19 @@ mod tests {
         seed: u64,
         schedule_seed: u64,
     ) -> ptest_core::TestReport {
-        let mut cfg = scenario.base_config();
-        cfg.schedule = spec;
-        let engine = TrialEngine::new(cfg).expect("valid scenario config");
+        let engine = TrialEngine::new(scenario.base_config()).expect("valid scenario config");
         engine
-            .run_scenario_trial_scheduled(scenario, seed, schedule_seed, &mut TrialScratch::new())
+            .run_scenario_trial_overridden(
+                scenario,
+                seed,
+                schedule_seed,
+                ptest_core::derived_memory_seed(seed),
+                TrialOverrides {
+                    schedule: Some(spec),
+                    ..TrialOverrides::default()
+                },
+                &mut TrialScratch::new(),
+            )
             .expect("trial runs")
     }
 

@@ -435,7 +435,7 @@ pub fn reordering_manifested(report: &ptest_core::TestReport) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptest_core::{TrialEngine, TrialScratch};
+    use ptest_core::{TrialEngine, TrialOverrides, TrialScratch};
 
     /// Runs `scenario` under an explicit memory spec at a seed triple
     /// (lock-step schedule — the memory axis is what varies here).
@@ -445,11 +445,19 @@ mod tests {
         seed: u64,
         memory_seed: u64,
     ) -> ptest_core::TestReport {
-        let mut cfg = scenario.base_config();
-        cfg.memory = memory;
-        let engine = TrialEngine::new(cfg).expect("valid scenario config");
+        let engine = TrialEngine::new(scenario.base_config()).expect("valid scenario config");
         engine
-            .run_scenario_trial_explored(scenario, seed, 0, memory_seed, &mut TrialScratch::new())
+            .run_scenario_trial_overridden(
+                scenario,
+                seed,
+                0,
+                memory_seed,
+                TrialOverrides {
+                    memory: Some(memory),
+                    ..TrialOverrides::default()
+                },
+                &mut TrialScratch::new(),
+            )
             .expect("trial runs")
     }
 

@@ -98,18 +98,17 @@ pub use ptest_soc as soc;
 
 pub use ptest_automata::{Alphabet, Dfa, GenerateOptions, Pfa, ProbabilityAssignment, Regex, Sym};
 pub use ptest_campaign::{
-    config_fingerprint, Campaign, CampaignCheckpoint, CampaignConfig, CampaignReport,
-    LearningConfig, MemoryDetection, MinimizedOutcome, PreemptionDetection, RoundReport,
-    ScheduleDetection, ShardReport, ShardSpec, CHECKPOINT_SCHEMA,
+    config_fingerprint, Axis, AxisDetection, Campaign, CampaignCheckpoint, CampaignConfig,
+    CampaignReport, LearningConfig, MinimizedOutcome, RoundReport, ShardReport, ShardSpec,
+    CHECKPOINT_SCHEMA,
 };
 pub use ptest_core::{
     derived_irq_seed, derived_memory_seed, derived_schedule_seed, minimize_scenario_trial,
-    minimize_trial, replay_minimized, AdaptiveTest, AdaptiveTestConfig, Bug, BugDetector, BugKind,
-    Committer, CommitterConfig, CommitterStatus, Configured, CoverageReport, DetectorConfig,
-    FnScenario, InterleavingEvent, MergeOp, MergedPattern, MinimizeConfig, MinimizeError,
-    MinimizedMemory, MinimizedRepro, MinimizedSchedule, PatternGenerator, PatternMerger,
-    RootCauseReport, Scenario, StateRecord, TestPattern, TestReport, TrialEngine, TrialOverrides,
-    TrialScratch, TrialTrace,
+    replay_minimized, AdaptiveTest, AdaptiveTestConfig, Bug, BugDetector, BugKind, Committer,
+    CommitterConfig, CommitterStatus, Configured, CoverageReport, DetectorConfig, FnScenario,
+    InterleavingEvent, MergeOp, MergedPattern, MinimizeConfig, MinimizeError, MinimizedMemory,
+    MinimizedRepro, MinimizedSchedule, PatternGenerator, PatternMerger, RootCauseReport, Scenario,
+    StateRecord, TestPattern, TestReport, TrialEngine, TrialOverrides, TrialScratch, TrialTrace,
 };
 pub use ptest_master::{
     ClockSkewConfig, DualCoreSystem, InterruptConfig, LockStepScheduler, MasterOp, MemoryModel,

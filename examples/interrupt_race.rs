@@ -20,7 +20,8 @@
 
 use ptest::faults::timers::{timer_fault_manifested, IsrSharedVarScenario};
 use ptest::{
-    Campaign, CampaignConfig, LearningConfig, Scenario, TrialEngine, TrialOverrides, TrialScratch,
+    Axis, Campaign, CampaignConfig, LearningConfig, Scenario, TrialEngine, TrialOverrides,
+    TrialScratch,
 };
 
 fn arg(name: &str, default: usize) -> usize {
@@ -59,10 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = IsrSharedVarScenario::buggy();
     let campaign = Campaign::run(&config, &scenario)?;
     let round = &campaign.rounds[0];
-    for detection in &round.preemption_detection {
+    for detection in &round.detection(Axis::Preemption) {
         println!(
             "preemption {}: {}/{} trials detected ({} bugs)",
-            detection.preemption, detection.trials_with_bugs, detection.trials, detection.bugs
+            detection.label, detection.trials_with_bugs, detection.trials, detection.bugs
         );
     }
     std::fs::write(

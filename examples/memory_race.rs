@@ -16,7 +16,10 @@
 //! check).
 
 use ptest::faults::weakmem::{reordering_manifested, StoreVisibilityScenario};
-use ptest::{Campaign, CampaignConfig, LearningConfig, Scenario, TrialEngine, TrialScratch};
+use ptest::{
+    Axis, Campaign, CampaignConfig, LearningConfig, Scenario, TrialEngine, TrialOverrides,
+    TrialScratch,
+};
 
 fn arg(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -44,10 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &scenario,
     )?;
     let round = &campaign.rounds[0];
-    for detection in &round.memory_detection {
+    for detection in &round.detection(Axis::Memory) {
         println!(
             "memory {}: {}/{} trials detected ({} bugs)",
-            detection.memory, detection.trials_with_bugs, detection.trials, detection.bugs
+            detection.label, detection.trials_with_bugs, detection.trials, detection.bugs
         );
     }
     let hit = round
@@ -61,11 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Replay from the recorded triple alone.
-    let replay = TrialEngine::new(scenario.base_config())?.run_scenario_trial_explored(
+    let replay = TrialEngine::new(scenario.base_config())?.run_scenario_trial_overridden(
         &scenario,
         hit.seed,
         hit.schedule_seed,
         hit.memory_seed,
+        TrialOverrides::default(),
         &mut TrialScratch::new(),
     )?;
     if !reordering_manifested(&replay) || replay.machine_summary().bugs != hit.summary.bugs {

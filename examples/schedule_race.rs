@@ -16,7 +16,8 @@
 
 use ptest::faults::races::{race_manifested, OrderViolationScenario};
 use ptest::{
-    Campaign, CampaignConfig, LearningConfig, Scenario, ScheduleSpec, TrialEngine, TrialScratch,
+    Axis, Campaign, CampaignConfig, LearningConfig, Scenario, TrialEngine, TrialOverrides,
+    TrialScratch,
 };
 
 fn arg(name: &str, default: usize) -> usize {
@@ -45,10 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &scenario,
     )?;
     let round = &campaign.rounds[0];
-    for detection in &round.schedule_detection {
+    for detection in &round.detection(Axis::Schedule) {
         println!(
             "schedule {}: {}/{} trials detected ({} bugs)",
-            detection.schedule, detection.trials_with_bugs, detection.trials, detection.bugs
+            detection.label, detection.trials_with_bugs, detection.trials, detection.bugs
         );
     }
     let hit = round
@@ -61,13 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hit.trial, hit.seed, hit.schedule_seed, hit.summary.bugs[0].detail
     );
 
-    // Replay from the recorded pair alone.
-    let mut cfg = scenario.base_config();
-    cfg.schedule = ScheduleSpec::random_priority();
-    let replay = TrialEngine::new(cfg)?.run_scenario_trial_scheduled(
+    // Replay from the recorded pair alone (the memory seed is recorded
+    // too, but has no effect under the scenario's seq-cst memory).
+    let replay = TrialEngine::new(scenario.base_config())?.run_scenario_trial_overridden(
         &scenario,
         hit.seed,
         hit.schedule_seed,
+        hit.memory_seed,
+        TrialOverrides::default(),
         &mut TrialScratch::new(),
     )?;
     if !race_manifested(&replay) || replay.machine_summary().bugs != hit.summary.bugs {

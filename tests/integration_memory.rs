@@ -22,8 +22,8 @@ use ptest::faults::weakmem::{
     reordering_manifested, IriwScenario, StoreVisibilityScenario, WeakMemVariant,
 };
 use ptest::{
-    AdaptiveTest, Campaign, CampaignConfig, LearningConfig, MemoryModelSpec, Scenario, TrialEngine,
-    TrialScratch,
+    AdaptiveTest, Axis, Campaign, CampaignConfig, LearningConfig, MemoryModelSpec, Scenario,
+    TrialEngine, TrialOverrides, TrialScratch,
 };
 
 fn run_triple(
@@ -32,11 +32,19 @@ fn run_triple(
     seed: u64,
     memory_seed: u64,
 ) -> ptest::TestReport {
-    let mut cfg = scenario.base_config();
-    cfg.memory = memory;
-    TrialEngine::new(cfg)
+    TrialEngine::new(scenario.base_config())
         .unwrap()
-        .run_scenario_trial_explored(scenario, seed, 0, memory_seed, &mut TrialScratch::new())
+        .run_scenario_trial_overridden(
+            scenario,
+            seed,
+            0,
+            memory_seed,
+            TrialOverrides {
+                memory: Some(memory),
+                ..TrialOverrides::default()
+            },
+            &mut TrialScratch::new(),
+        )
         .unwrap()
 }
 
@@ -124,27 +132,24 @@ fn campaign_detection_is_replayable_from_recorded_seed_triples() {
     };
     let report = Campaign::run(&cfg, &scenario).unwrap();
     let round = &report.rounds[0];
-    assert_eq!(
-        round.memory_detection.len(),
-        1,
-        "{:?}",
-        round.memory_detection
-    );
-    assert_eq!(round.memory_detection[0].memory, "store-buffer(d=24)");
+    let detection = round.detection(Axis::Memory);
+    assert_eq!(detection.len(), 1, "{detection:?}");
+    assert_eq!(detection[0].label, "store-buffer(d=24)");
     let hit = round
         .trials
         .iter()
         .find(|t| !t.summary.bugs.is_empty())
         .expect("12 store-buffer seeds must reveal the visibility race");
-    assert!(round.memory_detection[0].trials_with_bugs >= 1);
+    assert!(detection[0].trials_with_bugs >= 1);
     // Replay standalone from the recorded triple.
     let replay = TrialEngine::new(scenario.base_config())
         .unwrap()
-        .run_scenario_trial_explored(
+        .run_scenario_trial_overridden(
             &scenario,
             hit.seed,
             hit.schedule_seed,
             hit.memory_seed,
+            TrialOverrides::default(),
             &mut TrialScratch::new(),
         )
         .unwrap();
@@ -176,14 +181,11 @@ fn memory_model_rotation_aggregates_per_model() {
     };
     let report = Campaign::run(&cfg, &scenario).unwrap();
     let round = &report.rounds[0];
-    let labels: Vec<&str> = round
-        .memory_detection
-        .iter()
-        .map(|d| d.memory.as_str())
-        .collect();
+    let detection = round.detection(Axis::Memory);
+    let labels: Vec<&str> = detection.iter().map(|d| d.label.as_str()).collect();
     assert_eq!(labels, ["seq-cst", "store-buffer(d=24)"]);
-    assert!(round.memory_detection.iter().all(|d| d.trials == 8));
-    let seq_cst = &round.memory_detection[0];
+    assert!(detection.iter().all(|d| d.trials == 8));
+    let seq_cst = &detection[0];
     assert_eq!(
         seq_cst.trials_with_bugs, 0,
         "the race must stay invisible under sequential consistency"

@@ -111,7 +111,7 @@ fn pipeline_scenario_reveals_a_cross_core_deadlock() {
     assert!(bug
         .state_records
         .iter()
-        .any(|r| r.slave_core != CoreId::Dsp));
+        .any(|r| r.slave_core != CoreId::Slave(0)));
 }
 
 /// The machine summary classifies the new bug kind distinctly.

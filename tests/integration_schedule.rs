@@ -20,8 +20,8 @@ use ptest::faults::races::{
     race_manifested, AtomicityRaceScenario, OrderViolationScenario, RaceVariant,
 };
 use ptest::{
-    AdaptiveTest, Campaign, CampaignConfig, Configured, LearningConfig, Scenario, ScheduleSpec,
-    TrialEngine, TrialScratch,
+    derived_memory_seed, AdaptiveTest, Axis, Campaign, CampaignConfig, Configured, LearningConfig,
+    Scenario, ScheduleSpec, TrialEngine, TrialOverrides, TrialScratch,
 };
 
 fn run_pair(
@@ -30,11 +30,19 @@ fn run_pair(
     seed: u64,
     schedule_seed: u64,
 ) -> ptest::TestReport {
-    let mut cfg = scenario.base_config();
-    cfg.schedule = spec;
-    TrialEngine::new(cfg)
+    TrialEngine::new(scenario.base_config())
         .unwrap()
-        .run_scenario_trial_scheduled(scenario, seed, schedule_seed, &mut TrialScratch::new())
+        .run_scenario_trial_overridden(
+            scenario,
+            seed,
+            schedule_seed,
+            derived_memory_seed(seed),
+            TrialOverrides {
+                schedule: Some(spec),
+                ..TrialOverrides::default()
+            },
+            &mut TrialScratch::new(),
+        )
         .unwrap()
 }
 
@@ -141,19 +149,15 @@ fn campaign_detection_is_replayable_from_recorded_seed_pairs() {
     };
     let report = Campaign::run(&cfg, &scenario).unwrap();
     let round = &report.rounds[0];
-    assert_eq!(
-        round.schedule_detection.len(),
-        1,
-        "{:?}",
-        round.schedule_detection
-    );
-    assert_eq!(round.schedule_detection[0].schedule, "random-priority(d=3)");
+    let detection = round.detection(Axis::Schedule);
+    assert_eq!(detection.len(), 1, "{detection:?}");
+    assert_eq!(detection[0].label, "random-priority(d=3)");
     let hit = round
         .trials
         .iter()
         .find(|t| !t.summary.bugs.is_empty())
         .expect("12 randomized schedules must reveal the order violation");
-    assert!(round.schedule_detection[0].trials_with_bugs >= 1);
+    assert!(detection[0].trials_with_bugs >= 1);
     // Replay standalone from the recorded pair.
     let replay = run_pair(
         &scenario,
@@ -190,13 +194,10 @@ fn schedule_budget_rotation_aggregates_per_budget() {
     };
     let report = Campaign::run(&cfg, &scenario).unwrap();
     let round = &report.rounds[0];
-    let labels: Vec<&str> = round
-        .schedule_detection
-        .iter()
-        .map(|d| d.schedule.as_str())
-        .collect();
+    let detection = round.detection(Axis::Schedule);
+    let labels: Vec<&str> = detection.iter().map(|d| d.label.as_str()).collect();
     assert_eq!(labels, ["random-priority(d=0)", "random-priority(d=3)"]);
-    assert!(round.schedule_detection.iter().all(|d| d.trials == 4));
+    assert!(detection.iter().all(|d| d.trials == 4));
 }
 
 /// Single-seed entry points stay a one-seed story: the schedule seed

@@ -8,7 +8,7 @@ use ptest::pcore::{Op, Program};
 use ptest::{
     AdaptiveTestConfig, Campaign, CampaignConfig, CampaignReport, DualCoreSystem, FnScenario,
     LearningConfig, MemoryModelSpec, MergeOp, ProgramId, RandomPriorityConfig, Scenario,
-    ScheduleSpec, SystemConfig, TrialEngine, TrialScratch,
+    ScheduleSpec, SystemConfig, TrialEngine, TrialOverrides, TrialScratch,
 };
 
 fn compute_setup(sys: &mut DualCoreSystem) -> Vec<ProgramId> {
@@ -166,13 +166,16 @@ proptest! {
             let memory = models[outcome.trial % models.len()];
             prop_assert_eq!(&outcome.memory, &memory.label());
             let replay = engine
-                .run_scenario_trial_explored_as(
+                .run_scenario_trial_overridden(
                     &scenario,
                     outcome.seed,
                     outcome.schedule_seed,
                     outcome.memory_seed,
-                    spec,
-                    memory,
+                    TrialOverrides {
+                        schedule: Some(spec),
+                        memory: Some(memory),
+                        ..TrialOverrides::default()
+                    },
                     &mut scratch,
                 )
                 .expect("replays");

@@ -13,7 +13,7 @@ use ptest::master::{MemoryModelSpec, ScheduleSpec};
 use ptest::pcore::{Op, Program, ProgramId};
 use ptest::{
     derived_memory_seed, derived_schedule_seed, AdaptiveTestConfig, DualCoreSystem, FnScenario,
-    Scenario, TrialEngine, TrialScratch,
+    Scenario, TrialEngine, TrialOverrides, TrialScratch,
 };
 
 /// A sleeper-dominated worker: short compute bursts separated by long
@@ -90,20 +90,22 @@ fn assert_fast_forward_equivalence(scenario: &dyn Scenario) {
             let schedule_seed = derived_schedule_seed(seed);
             let memory_seed = derived_memory_seed(seed);
             let a = fast
-                .run_scenario_trial_explored(
+                .run_scenario_trial_overridden(
                     scenario,
                     seed,
                     schedule_seed,
                     memory_seed,
+                    TrialOverrides::default(),
                     &mut fast_scratch,
                 )
                 .unwrap();
             let b = slow
-                .run_scenario_trial_explored(
+                .run_scenario_trial_overridden(
                     scenario,
                     seed,
                     schedule_seed,
                     memory_seed,
+                    TrialOverrides::default(),
                     &mut slow_scratch,
                 )
                 .unwrap();

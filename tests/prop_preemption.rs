@@ -96,11 +96,12 @@ fn assert_inert_preemption_is_byte_invisible(scenario: &dyn Scenario, seed: u64)
             let mut engine = TrialEngine::new(cfg.clone()).unwrap();
             engine.set_fast_forward(fast_forward);
             let plain = engine
-                .run_scenario_trial_explored(
+                .run_scenario_trial_overridden(
                     scenario,
                     seed,
                     schedule_seed,
                     memory_seed,
+                    TrialOverrides::default(),
                     &mut scratch,
                 )
                 .unwrap();
